@@ -1,7 +1,7 @@
 // Command mapad is the MAPA allocator daemon: a long-running HTTP
 // service that leases GPUs on one machine's topology to many
-// concurrent tenants, with each tenant bound to its own live-view
-// stream over one shared match-universe store.
+// concurrent tenants. Every tenant decides over the machine's one
+// allocator and live-view stream; a tenant name labels lease ownership.
 //
 // Usage:
 //
@@ -73,7 +73,7 @@ func main() {
 	flag.IntVar(&o.buildWorkers, "buildworkers", 0, "workers for universe builds (0 uses -workers)")
 	flag.IntVar(&o.queueDepth, "queue", server.DefaultQueueDepth, "bounded admission depth; allocates beyond it get 429")
 	flag.DurationVar(&o.coalesce, "coalesce", 0, "coalescing window for identical (shape,size) allocate bursts (0 disables)")
-	flag.IntVar(&o.maxTenants, "max-tenants", server.DefaultMaxTenants, "max distinct tenant streams; overflow serves via the default stream")
+	flag.IntVar(&o.maxTenants, "max-tenants", server.DefaultMaxTenants, "max distinct tenant names registered; further names are served directly by the System with the same decisions")
 	flag.StringVar(&o.journalDir, "journal", "", "directory for the write-ahead journal + snapshots (empty disables durability)")
 	flag.StringVar(&o.fsyncMode, "fsync", "always", "journal fsync policy: always (fsync per append) or interval (background fsync)")
 	flag.DurationVar(&o.fsyncInterval, "fsync-interval", 100*time.Millisecond, "background fsync cadence for -fsync=interval")

@@ -173,7 +173,7 @@ func (s *System) applyRecoveredAllocate(rec *journal.Record) error {
 	for _, g := range rec.GPUs {
 		s.avail.RemoveVertex(g)
 	}
-	s.publishAllocate(rec.GPUs)
+	s.views.Allocate(rec.GPUs)
 	s.nextID = rec.ID
 	gpus := append([]int(nil), rec.GPUs...)
 	s.leases[rec.ID] = gpus

@@ -102,6 +102,10 @@ type Journal struct {
 
 	stop chan struct{} // closes the interval-sync goroutine
 	done chan struct{}
+
+	// syncFn replaces f.Sync in the interval-sync loop when set; tests
+	// use it to hold a background sync in flight or make it fail.
+	syncFn func() error
 }
 
 // Open loads (or creates) the journal directory, recovers its
@@ -324,7 +328,9 @@ func (j *Journal) Stats() Stats {
 	return j.stats
 }
 
-// Close syncs outstanding appends and closes the log.
+// Close syncs outstanding appends and closes the log. It stops and
+// joins the interval-sync loop first, so a background sync in flight
+// finishes before the final one.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	if j.closed {
@@ -332,7 +338,11 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
+	j.mu.Unlock()
 	close(j.stop)
+	<-j.done
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	var err error
 	if j.dirty && j.err == nil {
 		err = j.f.Sync()
@@ -342,13 +352,13 @@ func (j *Journal) Close() error {
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}
-	j.mu.Unlock()
-	<-j.done
 	return err
 }
 
 // syncLoop flushes dirty appends every opts.Interval under
-// FsyncInterval.
+// FsyncInterval. The lock is held only to read and update state, never
+// across the fsync itself: appends arrive under the owning System's
+// state lock, and must not wait out the disk.
 func (j *Journal) syncLoop() {
 	defer close(j.done)
 	t := time.NewTicker(j.opts.Interval)
@@ -359,12 +369,30 @@ func (j *Journal) syncLoop() {
 			return
 		case <-t.C:
 			j.mu.Lock()
-			if j.dirty && !j.closed && j.err == nil {
-				if err := j.f.Sync(); err != nil {
+			if !j.dirty || j.closed || j.err != nil {
+				j.mu.Unlock()
+				continue
+			}
+			// Every record below end was written before the sync
+			// starts, so the sync makes all of them durable. dirty stays
+			// set until then: a WriteSnapshot in the meantime must not
+			// take the records for synced.
+			end := j.nextSeq
+			syncFn := j.syncFn
+			j.mu.Unlock()
+			if syncFn == nil {
+				syncFn = j.f.Sync
+			}
+			err := syncFn()
+			j.mu.Lock()
+			if err != nil {
+				if j.err == nil {
 					j.err = err
-				} else {
+				}
+			} else {
+				j.stats.Fsyncs++
+				if j.nextSeq == end {
 					j.dirty = false
-					j.stats.Fsyncs++
 				}
 			}
 			j.mu.Unlock()

@@ -2,11 +2,14 @@ package journal
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -348,6 +351,113 @@ func TestIntervalFsyncAppendsAreImmediatelyOnDisk(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Seq != 1 {
 		t.Fatalf("read-back saw %d records (%+v), want the appended one", len(recs), recs)
+	}
+}
+
+// blockingSync installs a sync hook on j's interval loop that signals
+// entered on its first call, then blocks until release is called and
+// returns result; returned is set once the hook has come back. The
+// hook is released at cleanup at the latest, so a failing test never
+// leaves the loop parked.
+func blockingSync(t *testing.T, j *Journal, result error) (entered chan struct{}, release func(), returned *atomic.Bool) {
+	entered = make(chan struct{})
+	gate := make(chan struct{})
+	var enterOnce, releaseOnce sync.Once
+	release = func() { releaseOnce.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	returned = new(atomic.Bool)
+	j.mu.Lock()
+	j.syncFn = func() error {
+		enterOnce.Do(func() { close(entered) })
+		<-gate
+		returned.Store(true)
+		return result
+	}
+	j.mu.Unlock()
+	return entered, release, returned
+}
+
+func waitFor(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+func TestIntervalSyncDoesNotBlockAppends(t *testing.T) {
+	j, err := Open(t.TempDir(), Options{Fsync: FsyncInterval, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { j.Close() })
+	failure := errors.New("injected sync failure")
+	entered, release, _ := blockingSync(t, j, failure)
+	r := Record{Kind: KindMark, GPUs: []int{1}}
+	if err := j.Append(&r); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	waitFor(t, entered, "the background sync to start")
+
+	// The sync is in flight; an append must not wait for it.
+	appended := make(chan error, 1)
+	go func() { appended <- j.Append(&r) }()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatalf("Append during sync: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Append blocked behind an in-flight background sync")
+	}
+
+	// The sync then fails: the error latches and appends are refused.
+	release()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		err := j.Append(&r)
+		if err != nil {
+			if !errors.Is(err, failure) {
+				t.Fatalf("Append after failed sync: %v, want the latched sync error", err)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("failed background sync never latched")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := j.WriteSnapshot(&Snapshot{LSN: j.LastSeq()}); !errors.Is(err, failure) {
+		t.Fatalf("WriteSnapshot after failed sync: %v, want the latched sync error", err)
+	}
+}
+
+func TestCloseJoinsIntervalSync(t *testing.T) {
+	j, err := Open(t.TempDir(), Options{Fsync: FsyncInterval, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { j.Close() })
+	entered, release, returned := blockingSync(t, j, nil)
+	r := Record{Kind: KindMark, GPUs: []int{1}}
+	if err := j.Append(&r); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	waitFor(t, entered, "the background sync to start")
+	closed := make(chan error, 1)
+	go func() { closed <- j.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while a background sync was in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if !returned.Load() {
+		t.Fatal("Close returned before the background sync did")
 	}
 }
 

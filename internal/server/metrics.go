@@ -153,7 +153,7 @@ func (m *metrics) render(w io.Writer, sys *mapa.System, tenants, queued, queueDe
 	gauge("mapad_gpus_free", "GPUs currently free.", free)
 	gauge("mapad_gpus_unhealthy", "GPUs currently marked unhealthy (visible, unallocatable).", unhealthy)
 	gauge("mapad_leases_active", "Live leases.", sys.ActiveLeases())
-	gauge("mapad_tenants", "Registered tenant streams.", tenants)
+	gauge("mapad_tenants", "Distinct tenant names with a registered Tenant handle (at most -max-tenants).", tenants)
 	gauge("mapad_admission_queued", "Requests currently admitted (in flight or queued on the decision lock).", queued)
 	gauge("mapad_admission_depth", "Admission queue capacity.", queueDepth)
 	warm := 0

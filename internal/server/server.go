@@ -23,10 +23,10 @@
 // finish and the final snapshot is cut.
 //
 // Tenancy: each distinct tenant name is lazily bound to its own
-// mapa.Tenant — a per-tenant allocator and live-view stream over the
-// shared universe store — and a tenant may only release leases it
-// allocated (403 otherwise). An empty tenant name serves through the
-// System's default stream.
+// mapa.Tenant handle on the shared System, and a tenant may only
+// release or renew leases it allocated (403 otherwise). Every tenant
+// decides over the System's one allocator and view stream, so the
+// tenant name is an owner label, not a separate pipeline.
 package server
 
 import (
@@ -63,10 +63,12 @@ type Options struct {
 	// each member gets its own lease, byte-identical to sequential
 	// execution. Zero disables coalescing.
 	CoalesceWindow time.Duration
-	// MaxTenants bounds the number of distinct tenant streams; further
-	// tenant names are served through the System's default stream
-	// (decisions stay identical — streams shape contention, not
-	// outcomes). <= 0 uses DefaultMaxTenants.
+	// MaxTenants bounds the number of distinct tenant names the server
+	// registers a Tenant handle for — tenant names are client input,
+	// so the registry must not grow without bound. Requests under
+	// further names are served by the System directly; decisions and
+	// ownership checks are the same either way. <= 0 uses
+	// DefaultMaxTenants.
 	MaxTenants int
 }
 
@@ -149,8 +151,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // AllocateRequest is the /v1/allocate body.
 type AllocateRequest struct {
-	// Tenant names the requesting tenant's stream; empty uses the
-	// System default stream.
+	// Tenant names the requesting tenant, the lease's owner label;
+	// empty allocates an unlabeled lease.
 	Tenant string `json:"tenant,omitempty"`
 	// NumGPUs is the accelerator count (required, >= 1).
 	NumGPUs int `json:"num_gpus"`
@@ -250,10 +252,10 @@ func (s *Server) tryAdmit() bool {
 
 func (s *Server) done() { <-s.admit }
 
-// tenant resolves a tenant name to its stream, creating it on first
+// tenant resolves a tenant name to its handle, creating it on first
 // sight up to MaxTenants; past the cap (and for the empty name) the
-// System's default stream serves — identical decisions, shared
-// contention. The returned Tenant may be nil.
+// System serves directly — identical decisions. The returned Tenant
+// may be nil.
 func (s *Server) tenant(name string) (*mapa.Tenant, error) {
 	if name == "" {
 		return nil, nil
@@ -272,7 +274,7 @@ func (s *Server) tenant(name string) (*mapa.Tenant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t, ok := s.tenants[name]; ok {
-		// Lost the registration race; keep the winner's stream.
+		// Lost the registration race; keep the winner's handle.
 		nt.Close()
 		return t, nil
 	}
@@ -291,8 +293,8 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, route, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	if req.NumGPUs < 1 {
-		s.writeError(w, route, http.StatusBadRequest, fmt.Errorf("num_gpus must be >= 1, got %d", req.NumGPUs))
+	if n := s.sys.NumGPUs(); req.NumGPUs < 1 || req.NumGPUs > n {
+		s.writeError(w, route, http.StatusBadRequest, fmt.Errorf("num_gpus must be in [1, %d], got %d", n, req.NumGPUs))
 		return
 	}
 	if !s.tryAdmit() {
@@ -371,9 +373,8 @@ type batch struct {
 // allocateCoalesced joins or leads the request class's batch. The
 // leader holds the batch open for the coalesce window, then executes
 // it as one System.AllocateBatch; joiners park on done and read their
-// slot. Coalesced decisions run on the System's default stream —
-// identical results to any tenant stream, since decisions are a pure
-// function of machine state.
+// slot. Coalesced decisions run through the System itself — the same
+// allocator every tenant handle decides with.
 func (s *Server) allocateCoalesced(req mapa.JobRequest) (*mapa.Lease, error) {
 	shape := req.Shape
 	if shape == "" {

@@ -79,12 +79,23 @@ func TestTenantOwnershipEnforced(t *testing.T) {
 
 func TestAllocateConflictWhenInfeasible(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	// DGX-A100 has 8 GPUs; a 9-GPU ring cannot be placed.
-	if code := post(t, ts.URL+"/v1/allocate", AllocateRequest{NumGPUs: 9}, nil); code != 409 {
+	// DGX-A100 has 8 GPUs: with all of them leased, a 2-GPU ring
+	// cannot be placed right now — a conflict, not a bad request.
+	for i := 0; i < 2; i++ {
+		if code := post(t, ts.URL+"/v1/allocate", AllocateRequest{NumGPUs: 4}, nil); code != 200 {
+			t.Fatalf("filling allocate %d: code %d", i, code)
+		}
+	}
+	if code := post(t, ts.URL+"/v1/allocate", AllocateRequest{NumGPUs: 2}, nil); code != 409 {
 		t.Fatalf("infeasible allocate: code %d, want 409", code)
 	}
-	if code := post(t, ts.URL+"/v1/allocate", AllocateRequest{NumGPUs: 0}, nil); code != 400 {
-		t.Fatalf("zero-GPU allocate: code %d, want 400", code)
+	// A request no state of the machine could place is the client's
+	// error: a 9-GPU ring on 8 GPUs, or a million GPUs, is refused
+	// before any pattern is built.
+	for _, n := range []int{0, 9, 1_000_000} {
+		if code := post(t, ts.URL+"/v1/allocate", AllocateRequest{NumGPUs: n}, nil); code != 400 {
+			t.Fatalf("%d-GPU allocate: code %d, want 400", n, code)
+		}
 	}
 }
 

@@ -151,11 +151,7 @@ type System struct {
 	recovery    RecoveryStats
 	reaped      uint64 // leases released by TTL expiry
 
-	// tenants are the live per-tenant serving handles (see NewTenant);
-	// every state delta fans out to each tenant's view stream. Guarded
-	// by mu, like the Tenant fields themselves.
-	tenants      map[int]*Tenant
-	nextTenantID int
+	nextTenantID int // last ID NewTenant handed out; guarded by mu
 
 	// Test hooks. prewarmGate runs during Allocate's unlocked prewarm
 	// phase (keyed by request size) so tests can hold a cold build in
@@ -455,7 +451,11 @@ func (s *System) Topology() string { return s.top.Name }
 func (s *System) Policy() string { return s.alloc.Name() }
 
 // NumGPUs returns the machine size.
-func (s *System) NumGPUs() int { return s.top.NumGPUs() }
+func (s *System) NumGPUs() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.top.NumGPUs()
+}
 
 // FreeGPUs returns the currently unallocated GPU IDs in ascending
 // order.
@@ -558,23 +558,33 @@ func (s *System) journalAppend(rec *journal.Record) error {
 	return nil
 }
 
-// prewarm builds the shape's match universe and score table (if
-// missing) with the state lock released, so a cold shape's
-// enumeration runs concurrently with every other System call. It
-// returns the store it built against, for the double-check in
-// lockWithPipeline.
-func (s *System) prewarm(pattern *graph.Graph) *matchcache.Store {
+// prepare bounds the request, builds its pattern, and builds the
+// shape's match universe and score table (if missing) with the state
+// lock released, so a cold shape's enumeration runs concurrently with
+// every other System call. A request for more GPUs than the machine
+// has fails before any of that: building its pattern alone would cost
+// time and memory linear in the request. prepare returns the store it
+// built against, for the double-check in lockWithPipeline.
+func (s *System) prepare(req JobRequest) (*graph.Graph, *matchcache.Store, error) {
 	s.mu.Lock()
+	n := s.top.NumGPUs()
 	st := s.store
 	gate := s.prewarmGate
 	s.mu.Unlock()
+	if req.NumGPUs > n {
+		return nil, nil, fmt.Errorf("mapa: allocating %d GPUs on a %d-GPU machine: %w", req.NumGPUs, n, policy.ErrNoAllocation)
+	}
+	pattern, err := buildPattern(req)
+	if err != nil {
+		return nil, nil, err
+	}
 	if gate != nil {
 		gate(pattern.NumVertices())
 	}
 	if st != nil {
 		st.Ensure(pattern, s.cfg.workers)
 	}
-	return st
+	return pattern, st, nil
 }
 
 // lockWithPipeline acquires the state lock for a decision on pattern,
@@ -596,38 +606,28 @@ func (s *System) lockWithPipeline(pattern *graph.Graph, st *matchcache.Store) {
 
 // Allocate leases GPUs for the request. It returns
 // policy.ErrNoAllocation (via errors.Is-compatible wrapping) when the
-// request cannot be placed on the currently free GPUs.
+// request cannot be placed on the currently free GPUs — at once, before
+// building anything, when it asks for more GPUs than the machine has.
 //
 // A request for a shape whose universe is not yet resident builds it
 // before entering the decision critical section, so concurrent
 // Allocate, Release, and health calls proceed while the build runs.
 func (s *System) Allocate(req JobRequest) (*Lease, error) {
-	return s.allocate(nil, req)
-}
-
-// allocate is the shared Allocate body: nil t decides with the
-// System's own allocator and view stream, non-nil t with the tenant's.
-func (s *System) allocate(t *Tenant, req JobRequest) (*Lease, error) {
-	pattern, err := buildPattern(req)
+	pattern, st, err := s.prepare(req)
 	if err != nil {
 		return nil, err
 	}
-	st := s.prewarm(pattern)
 	s.lockWithPipeline(pattern, st)
 	defer s.mu.Unlock()
-	return s.allocateLocked(t, pattern, req)
+	return s.allocateLocked(pattern, req)
 }
 
 // allocateLocked runs one decision + commit under the state lock. The
-// pipeline for pattern's shape must already be resident (prewarm), so
+// pipeline for pattern's shape must already be resident (prepare), so
 // the decision itself is table lookups plus O(k) arithmetic on warmed
 // shapes.
-func (s *System) allocateLocked(t *Tenant, pattern *graph.Graph, req JobRequest) (*Lease, error) {
-	alloc := s.alloc
-	if t != nil {
-		alloc = t.alloc
-	}
-	a, err := alloc.Allocate(s.avail, s.top, policy.Request{Pattern: pattern, Sensitive: req.Sensitive})
+func (s *System) allocateLocked(pattern *graph.Graph, req JobRequest) (*Lease, error) {
+	a, err := s.alloc.Allocate(s.avail, s.top, policy.Request{Pattern: pattern, Sensitive: req.Sensitive})
 	if err != nil {
 		return nil, fmt.Errorf("mapa: allocating %d GPUs: %w", req.NumGPUs, err)
 	}
@@ -646,7 +646,7 @@ func (s *System) allocateLocked(t *Tenant, pattern *graph.Graph, req JobRequest)
 	for _, g := range a.GPUs {
 		s.avail.RemoveVertex(g)
 	}
-	s.publishAllocate(a.GPUs)
+	s.views.Allocate(a.GPUs)
 	s.nextID = id
 	s.leases[id] = a.GPUs
 	for _, g := range a.GPUs {
@@ -688,61 +688,19 @@ func (s *System) AllocateBatch(req JobRequest, n int) ([]*Lease, []error) {
 	if n <= 0 {
 		return leases, errs
 	}
-	pattern, err := buildPattern(req)
+	pattern, st, err := s.prepare(req)
 	if err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
 		return leases, errs
 	}
-	st := s.prewarm(pattern)
 	s.lockWithPipeline(pattern, st)
 	defer s.mu.Unlock()
 	for i := range leases {
-		leases[i], errs[i] = s.allocateLocked(nil, pattern, req)
+		leases[i], errs[i] = s.allocateLocked(pattern, req)
 	}
 	return leases, errs
-}
-
-// publishAllocate fans an allocation delta out to every live-view
-// stream bound to this System — its own and each tenant's.
-func (s *System) publishAllocate(gpus []int) {
-	s.views.Allocate(gpus)
-	for _, t := range s.tenants {
-		t.views.Allocate(gpus)
-	}
-}
-
-// publishRelease fans a release delta out to every view stream.
-func (s *System) publishRelease(gpus []int) {
-	s.views.Release(gpus)
-	for _, t := range s.tenants {
-		t.views.Release(gpus)
-	}
-}
-
-// publishMarkUnhealthy fans a health delta out to every view stream.
-func (s *System) publishMarkUnhealthy(gpus []int) {
-	s.views.MarkUnhealthy(gpus)
-	for _, t := range s.tenants {
-		t.views.MarkUnhealthy(gpus)
-	}
-}
-
-// publishRestoreHealth fans a recovery delta out to every view stream.
-func (s *System) publishRestoreHealth(gpus []int) {
-	s.views.RestoreHealth(gpus)
-	for _, t := range s.tenants {
-		t.views.RestoreHealth(gpus)
-	}
-}
-
-// publishUpdateEdge fans a link-weight delta out to every view stream.
-func (s *System) publishUpdateEdge(u, v int, bw float64) {
-	s.views.UpdateEdge(u, v, bw)
-	for _, t := range s.tenants {
-		t.views.UpdateEdge(u, v, bw)
-	}
 }
 
 // Release returns a lease's GPUs to the free pool. Releasing an
@@ -823,7 +781,7 @@ func (s *System) releaseLocked(id int, expired bool) error {
 	// The views track the free mask and the health mask independently,
 	// so the full lease is published: unhealthy members re-enter the
 	// free mask but stay blocked by the health mask.
-	s.publishRelease(gpus)
+	s.views.Release(gpus)
 	s.commit(commitOp{kind: opRelease, id: id, gpus: gpus, expired: expired})
 	return nil
 }
@@ -869,7 +827,7 @@ func (s *System) markUnhealthyLocked(gpus []int) error {
 			s.avail.RemoveVertex(g)
 		}
 	}
-	s.publishMarkUnhealthy(gpus)
+	s.views.MarkUnhealthy(gpus)
 	s.commit(commitOp{kind: opMark, gpus: gpus})
 	return nil
 }
@@ -936,7 +894,7 @@ func (s *System) restoreLocked(gpus []int) error {
 			s.avail.MustAddEdge(g, h, e.Weight, e.Label)
 		}
 	}
-	s.publishRestoreHealth(gpus)
+	s.views.RestoreHealth(gpus)
 	s.commit(commitOp{kind: opRestore, gpus: gpus})
 	return nil
 }
@@ -1020,7 +978,7 @@ func (s *System) degradeLinkLocked(u, v int, bw float64) error {
 	if s.store != nil {
 		s.store.RepairEdge(u, v)
 	}
-	s.publishUpdateEdge(u, v, bw)
+	s.views.UpdateEdge(u, v, bw)
 	s.commit(commitOp{kind: opDegrade, u: u, v: v, bw: bw})
 	return nil
 }
@@ -1130,7 +1088,7 @@ func (s *System) repartitionLocked(slices map[int]int) error {
 	for v, f := range vt.Fraction {
 		s.fractions[v] = f
 	}
-	// During recovery replay there is no pipeline yet and no tenants:
+	// During recovery replay there is no pipeline yet:
 	// NewSystem retrains the scorer and builds the pipeline once, for
 	// the final recovered topology, after the last record is applied.
 	if !s.recovering {
@@ -1140,9 +1098,8 @@ func (s *System) repartitionLocked(slices map[int]int) error {
 	}
 	// Rebuild availability — every instance not leased and not
 	// unhealthy — and replay the surviving allocation and health state
-	// into the fresh views. Tenant streams are rebound to the new
-	// pipeline the same way, so live tenants keep serving across the
-	// re-cut.
+	// into the fresh views — the one stream every tenant decides over,
+	// so live tenants keep serving across the re-cut.
 	s.avail = s.top.Graph.Clone()
 	for g := range s.leasedBy {
 		s.avail.RemoveVertex(g)
@@ -1152,9 +1109,6 @@ func (s *System) repartitionLocked(slices map[int]int) error {
 	}
 	if !s.recovering {
 		s.replayViewsLocked(s.views)
-		for _, t := range s.tenants {
-			s.bindTenantLocked(t)
-		}
 	}
 	s.commit(commitOp{kind: opRepartition, slices: recSlices})
 	return nil

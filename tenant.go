@@ -1,27 +1,14 @@
 package mapa
 
-import (
-	"time"
+import "time"
 
-	"mapa/internal/matchcache"
-	"mapa/internal/policy"
-)
-
-// Tenant is one client's serving handle on a shared System — the unit
-// of multi-tenant isolation the mapad daemon hands out. Every tenant
-// decides with its own allocator instance bound to its own live-view
-// stream (matchcache.Views) over the System's one shared universe
-// store: universes and score tables — the expensive, state-independent
-// precomputation — are built once per machine, while the per-stream
-// candidate views and Eq. 3 bandwidth accounting are maintained per
-// tenant from the deltas the System fans out on every state change.
-//
-// Decisions are byte-identical whichever handle makes them — a
-// tenant's allocator is configured exactly like the System's — so
-// tenancy changes contention, not outcomes: tenants contend on the
-// System's decision lock only for the O(k)-arithmetic decision itself,
-// never on each other's view-slot materialization or a cold shape's
-// universe build (which runs outside the lock; see Allocate).
+// Tenant is one client's handle on a shared System — the unit of
+// multi-tenancy the mapad daemon hands out per tenant name. A tenant
+// decides with the System's one allocator over the System's one
+// live-view stream: it holds no allocator, no views and no copy of the
+// machine state, so registering tenants costs nothing per state change
+// and a tenant's decisions are exactly System.Allocate's. Tenancy
+// changes who holds a lease, not where it lands.
 //
 // Tenant is safe for concurrent use. Leases live in the System's one
 // namespace: any handle may release any lease — per-tenant ownership
@@ -29,64 +16,26 @@ import (
 type Tenant struct {
 	s  *System
 	id int
-
-	// alloc and views are guarded by s.mu: Repartition rebinds them to
-	// the post-re-cut pipeline while holding it.
-	alloc policy.Allocator
-	views *matchcache.Views
 }
 
-// NewTenant registers a new tenant stream on the System. The tenant's
-// view set inherits the current allocation and health state, so a
-// tenant joining mid-traffic serves correctly from its first decision.
-// Close the tenant when its client disconnects for good, or its view
-// stream keeps absorbing every delta.
+// NewTenant returns a new tenant handle on the System with a fresh
+// System-unique ID. The handle reads the live state on every call, so
+// a tenant joining mid-traffic — or surviving a Repartition — serves
+// correctly from its first decision. The error is always nil; the
+// signature is kept for API compatibility.
 func (s *System) NewTenant() (*Tenant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	alloc, err := policy.ByName(s.alloc.Name(), s.scorer)
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.workers > 1 {
-		policy.SetParallelism(alloc, s.cfg.workers)
-	}
 	s.nextTenantID++
-	t := &Tenant{s: s, id: s.nextTenantID, alloc: alloc}
-	s.bindTenantLocked(t)
-	if s.tenants == nil {
-		s.tenants = make(map[int]*Tenant)
-	}
-	s.tenants[t.id] = t
-	return t, nil
-}
-
-// bindTenantLocked (re)wires a tenant to the System's current match
-// pipeline: shared scorer, cache, and universe store, plus a fresh
-// per-tenant view stream replayed to the live state. Called at
-// registration and again by Repartition, which swaps the pipeline.
-func (s *System) bindTenantLocked(t *Tenant) {
-	policy.SetScorer(t.alloc, s.scorer)
-	policy.AttachCache(t.alloc, s.cache)
-	policy.AttachUniverses(t.alloc, s.store)
-	t.views = nil
-	if s.store != nil && !s.cfg.disableLiveViews {
-		t.views = s.store.NewViews()
-		s.replayViewsLocked(t.views)
-	}
-	policy.AttachViews(t.alloc, t.views)
+	return &Tenant{s: s, id: s.nextTenantID}, nil
 }
 
 // ID returns the tenant's System-unique registration number.
 func (t *Tenant) ID() int { return t.id }
 
-// Allocate leases GPUs for the request, deciding through the tenant's
-// own allocator and view stream. Semantics match System.Allocate:
-// cold-shape builds run outside the decision lock, and the returned
+// Allocate leases GPUs for the request (System.Allocate). The returned
 // lease is valid with any handle on the System.
-func (t *Tenant) Allocate(req JobRequest) (*Lease, error) {
-	return t.s.allocate(t, req)
-}
+func (t *Tenant) Allocate(req JobRequest) (*Lease, error) { return t.s.Allocate(req) }
 
 // Release returns a lease's GPUs to the free pool (System.Release).
 func (t *Tenant) Release(l *Lease) error { return t.s.Release(l) }
@@ -96,15 +45,7 @@ func (t *Tenant) Release(l *Lease) error { return t.s.Release(l) }
 // renew it — is the daemon's job, like Release.
 func (t *Tenant) Renew(id int, ttl time.Duration) (int64, error) { return t.s.Renew(id, ttl) }
 
-// Close unregisters the tenant: its view stream stops receiving
-// deltas and becomes collectable. Releasing the tenant's leases is the
-// caller's responsibility; they remain valid via the System. Allocate
-// on a closed tenant still decides correctly — its views simply go
-// stale-free, never stale: an out-of-sync stream degrades to the
-// filter path by the Views.Entry cross-check rather than serving
-// wrong candidates.
-func (t *Tenant) Close() {
-	t.s.mu.Lock()
-	delete(t.s.tenants, t.id)
-	t.s.mu.Unlock()
-}
+// Close ends the tenant. A tenant holds nothing but its ID, so there
+// is nothing to free; its leases stay valid via the System, and
+// releasing them is the caller's responsibility.
+func (t *Tenant) Close() {}
